@@ -1,29 +1,35 @@
-//! Allocation-count regression tests for the block-oriented hot path.
+//! Allocation-count regression tests for the CBCS query hot path.
 //!
 //! This crate installs a counting global allocator (see
 //! `skycache_bench::allocations`), so allocation events here are exact
 //! and deterministic: the workloads are seeded and the engine is
-//! single-threaded. Two properties are pinned:
+//! single-threaded. The counter is one process-wide atomic, so the
+//! tests run one at a time behind [`serial`] — a test running beside
+//! another would count the other's allocations too. Three properties
+//! are pinned:
 //!
 //! 1. allocs/query on the cached steady-state workload (the same
 //!    measurement `repro perf` records in BENCH_perf.json, at test
-//!    scale) stays under a fixed ceiling, and the block path keeps its
-//!    ≥ 5× advantage over the legacy `Vec<Point>` path — reintroducing
-//!    a per-point clone anywhere in the fetch → merge → skyline
-//!    pipeline costs one alloc per point per stage and blows both
-//!    bounds immediately;
+//!    scale) stays under a fixed ceiling — reintroducing a per-point
+//!    clone anywhere in the fetch → merge → skyline pipeline costs one
+//!    alloc per point per stage and blows it immediately;
 //! 2. exact-hit replays (no fetch, no merge) stay under a fixed
-//!    ceiling in *both* paths, pinning the residual per-query cost of
-//!    answering straight from the cache — result materialization at
-//!    the API boundary plus the admission-sketch demand note (exact
-//!    hits never re-insert their item; see `Cache::note_demand`).
+//!    ceiling, through an owned-cache executor and through a service
+//!    session over the shared cache alike, pinning the residual
+//!    per-query cost of answering straight from the cache — result
+//!    materialization at the API boundary plus the admission-sketch
+//!    demand note (exact hits never re-insert their item; see
+//!    `Cache::note_demand`);
+//! 3. a warm cache lookup allocates nothing.
 //!
 //! The ceilings are deliberately loose (~2× observed) so unrelated
 //! changes don't trip them, while per-point regressions — hundreds of
 //! extra allocations per query at this scale — still fail loudly.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use skycache_bench::{allocations, interactive_queries, run_queries, synthetic_table};
-use skycache_core::{Cache, CbcsConfig, CbcsExecutor};
+use skycache_core::{Cache, CbcsConfig, CbcsExecutor, Executor, Service, ServiceConfig};
 use skycache_datagen::Distribution;
 use skycache_geom::Constraints;
 use skycache_storage::Table;
@@ -36,12 +42,18 @@ fn table() -> Table {
     synthetic_table(Distribution::Independent, DIMS, N, 42)
 }
 
+/// Runs the tests one at a time: the allocation counter is shared by
+/// every thread of the process.
+fn serial() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Allocs/query over one cold-start run of the workload — the cache
 /// warms within the first few queries, so this is dominated by the
 /// cached steady state, exactly like `repro perf`.
-fn workload_allocs_per_query(table: &Table, queries: &[Constraints], block_path: bool) -> f64 {
-    let config = CbcsConfig { block_path, ..Default::default() };
-    let mut ex = CbcsExecutor::new(table, config);
+fn workload_allocs_per_query(table: &Table, queries: &[Constraints]) -> f64 {
+    let mut ex = CbcsExecutor::new(table, CbcsConfig::default());
     let a0 = allocations();
     let records = run_queries(&mut ex, queries);
     let allocs = allocations() - a0;
@@ -52,12 +64,10 @@ fn workload_allocs_per_query(table: &Table, queries: &[Constraints], block_path:
 
 /// Allocs/query when re-running a workload the cache has already
 /// answered: every query is an exact hit.
-fn replay_allocs_per_query(table: &Table, queries: &[Constraints], block_path: bool) -> f64 {
-    let config = CbcsConfig { block_path, ..Default::default() };
-    let mut ex = CbcsExecutor::new(table, config);
-    run_queries(&mut ex, queries); // warmup: populate cache + scratch
+fn replay_allocs_per_query(ex: &mut dyn Executor, queries: &[Constraints]) -> f64 {
+    run_queries(ex, queries); // warmup: populate cache + scratch
     let a0 = allocations();
-    let records = run_queries(&mut ex, queries);
+    let records = run_queries(ex, queries);
     let allocs = allocations() - a0;
     assert!(records.iter().all(|r| r.stats.cache_hit), "replay must be all cache hits");
     allocs as f64 / queries.len() as f64
@@ -65,36 +75,48 @@ fn replay_allocs_per_query(table: &Table, queries: &[Constraints], block_path: b
 
 #[test]
 fn steady_state_cached_path_allocs_stay_under_ceiling() {
+    let _serial = serial();
     let table = table();
     let queries = interactive_queries(&table, QUERIES, 17, None);
 
-    let block = workload_allocs_per_query(&table, &queries, true);
+    let block = workload_allocs_per_query(&table, &queries);
     assert!(
         block <= BLOCK_CEILING,
-        "cached block path regressed to {block:.1} allocs/query (ceiling {BLOCK_CEILING})"
-    );
-
-    let legacy = workload_allocs_per_query(&table, &queries, false);
-    let reduction = legacy / block.max(1e-9);
-    assert!(
-        reduction >= 5.0,
-        "block path lost its allocation advantage: legacy {legacy:.1} vs block {block:.1} \
-         per query ({reduction:.1}x, need >= 5x)"
+        "cached path regressed to {block:.1} allocs/query (ceiling {BLOCK_CEILING})"
     );
 }
 
 #[test]
 fn exact_hit_replay_allocs_stay_under_ceiling() {
+    let _serial = serial();
     let table = table();
     let queries = interactive_queries(&table, QUERIES, 17, None);
-    for block_path in [true, false] {
-        let replay = replay_allocs_per_query(&table, &queries, block_path);
-        assert!(
-            replay <= REPLAY_CEILING,
-            "exact-hit replay (block_path = {block_path}) regressed to {replay:.1} \
-             allocs/query (ceiling {REPLAY_CEILING})"
-        );
-    }
+    let replay =
+        replay_allocs_per_query(&mut CbcsExecutor::new(&table, CbcsConfig::default()), &queries);
+    assert!(
+        replay <= REPLAY_CEILING,
+        "exact-hit replay regressed to {replay:.1} allocs/query (ceiling {REPLAY_CEILING})"
+    );
+}
+
+/// The same replay through a service session, so the shared-cache side
+/// of the pipeline (snapshot read, master-side touch and demand note) is
+/// gated too. Coalescing and negative caching are off: every query
+/// reaches the pipeline.
+#[test]
+fn session_exact_hit_replay_allocs_stay_under_ceiling() {
+    let _serial = serial();
+    let table = table();
+    let queries = interactive_queries(&table, QUERIES, 17, None);
+    let config = ServiceConfig { coalesce: false, negative_cache: false, ..Default::default() };
+    let service = Service::open(&table, config);
+    let mut session = service.session();
+    let replay = replay_allocs_per_query(&mut session, &queries);
+    assert!(
+        replay <= REPLAY_CEILING,
+        "session exact-hit replay regressed to {replay:.1} allocs/query \
+         (ceiling {REPLAY_CEILING})"
+    );
 }
 
 /// The lookup itself — `Cache::lookup_into` with a reused scratch ids
@@ -105,6 +127,7 @@ fn exact_hit_replay_allocs_stay_under_ceiling() {
 /// costs ≥ 1 alloc per lookup and trips the near-zero ceiling at once.
 #[test]
 fn warm_cache_lookup_is_allocation_free() {
+    let _serial = serial();
     let table = table();
     let queries = interactive_queries(&table, QUERIES, 17, None);
     let sample: Vec<_> = table.all_points().iter().take(8).cloned().collect();

@@ -38,6 +38,16 @@ pub struct ItemCost {
     pub fetch_ns: u64,
 }
 
+/// What one [`Cache::insert_counted`] did.
+pub(crate) struct InsertOutcome {
+    /// Whether the item passed the admission gate and was stored.
+    pub admitted: bool,
+    /// Items the insert evicted.
+    pub evicted: u64,
+    /// Insert attempts the admission gate rejected (0 or 1).
+    pub rejected: u64,
+}
+
 /// A cached constrained-skyline result.
 #[derive(Clone, Debug)]
 pub struct CacheItem {
@@ -432,6 +442,25 @@ impl Cache {
         }
         self.debug_assert_clock_monotone();
         Some(id)
+    }
+
+    /// [`Cache::insert_with_cost`], reporting what the insert did so the
+    /// caller can publish the telemetry after any lock guarding `self`
+    /// drops.
+    pub(crate) fn insert_counted(
+        &mut self,
+        constraints: Constraints,
+        skyline: &[Point],
+        cost: ItemCost,
+    ) -> InsertOutcome {
+        let evictions_before = self.evictions;
+        let rejects_before = self.admission_rejects;
+        let admitted = self.insert_with_cost(constraints, skyline, cost).is_some();
+        InsertOutcome {
+            admitted,
+            evicted: self.evictions - evictions_before,
+            rejected: self.admission_rejects - rejects_before,
+        }
     }
 
     /// Invariant (debug builds): the logical clock dominates every

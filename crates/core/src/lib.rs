@@ -23,9 +23,16 @@
 //!   [`BaselineExecutor`], the [`BbsExecutor`] state of the art, and the
 //!   caching [`CbcsExecutor`], each reporting the per-query statistics the
 //!   paper's evaluation plots — plus the extensions the paper sketches as
-//!   future work: [`DynamicCbcsExecutor`] (dynamic data, Section 6.2),
-//!   multi-item pruning ([`CbcsConfig::extra_items`], Section 6.3), and a
-//!   thread-safe [`SharedCache`] for multi-user deployments.
+//!   future work: [`DynamicCbcsExecutor`] (dynamic data, Section 6.2) and
+//!   multi-item pruning ([`CbcsConfig::extra_items`], Section 6.3);
+//! * [`service`] and [`shared`] — multi-user deployments: a [`Service`]
+//!   hands out one [`Session`] per client over a thread-safe
+//!   [`SharedCache`].
+//!
+//! Every CBCS front end — [`CbcsExecutor`], [`DynamicCbcsExecutor`] and
+//! [`Session`] — runs the same query pipeline; only the cache it reads
+//! and updates differs (an owned [`Cache`], or the shared cache's
+//! published snapshot and master copy).
 //!
 //! ```
 //! use skycache_core::{CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest};
@@ -90,7 +97,7 @@ pub use engine::{
 pub use error::CoreError;
 pub use mpr::{missing_points_region, missing_points_region_multi, MprMode, MprOutput};
 pub use service::{Service, ServiceConfig, ServiceMetrics, Session};
-pub use shared::{SharedCache, SharedCbcsExecutor};
+pub use shared::SharedCache;
 pub use stability::{classify, is_stable, Overlap};
 pub use strategy::SearchStrategy;
 

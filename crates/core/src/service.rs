@@ -1,11 +1,11 @@
 //! The multi-tenant query service: [`Service`], [`Session`] and the
-//! production-cache machinery around the shared CBCS executor.
+//! production-cache machinery around the CBCS pipeline.
 //!
 //! The paper evaluates the cache one query at a time; a deployed service
 //! runs many sessions against one cache. This module is the concurrent
-//! entry point for that shape — ad-hoc `SharedCbcsExecutor` wiring is
-//! crate-private, so every multi-user deployment flows through here and
-//! picks up three protections the raw executor does not have:
+//! entry point for that shape — a [`SharedCache`] can only be queried
+//! through a session, so every multi-user deployment flows through here
+//! and picks up three protections on top of the pipeline itself:
 //!
 //! 1. **Snapshot reads** — lookups run against the epoch-published
 //!    `Arc<Cache>` snapshot (see [`crate::shared`]), so concurrent
@@ -31,8 +31,8 @@
 //! acquires its fresh slot while still holding the table lock, so a
 //! joiner can never observe a registered flight whose slot is free);
 //! the slot is held across the leader's compute by design — that is the
-//! coalescing point — and the cache locks live below it inside
-//! [`SharedCbcsExecutor::execute`].
+//! coalescing point — and the cache locks live below it, inside the
+//! shared cache's side of the pipeline (`crate::shared`).
 
 use std::collections::BTreeMap;
 
@@ -48,9 +48,10 @@ use skycache_obs::{names, QueryRecorder, Recorder};
 use skycache_storage::Table;
 
 use crate::engine::{
-    check_dims, AlgoChoice, CbcsConfig, ExecMode, Executor, QueryOutcome, QueryRequest, QueryStats,
+    check_dims, execute_cbcs_query, AlgoChoice, CbcsConfig, CbcsState, ExecMode, Executor,
+    QueryOutcome, QueryRequest, QueryStats,
 };
-use crate::shared::{SharedCache, SharedCbcsExecutor};
+use crate::shared::SharedCache;
 use crate::Result;
 
 /// Bound on remembered provably-empty regions; expired entries are
@@ -61,7 +62,7 @@ const NEGATIVE_CAPACITY: usize = 1024;
 /// the production-cache knobs layered on top.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Configuration handed to every session's CBCS executor.
+    /// Configuration of every session's CBCS pipeline.
     pub cbcs: CbcsConfig,
     /// Coalesce identical in-flight queries through the singleflight
     /// table (on by default).
@@ -145,7 +146,6 @@ struct NegativeCache {
 
 /// State shared by the service handle and every session.
 struct ServiceShared {
-    cache: SharedCache,
     /// Singleflight table: canonical request key → in-flight computation.
     flights: Mutex<BTreeMap<Vec<u64>, Arc<Flight>>>,
     negative: Mutex<NegativeCache>,
@@ -182,6 +182,7 @@ struct ServiceShared {
 pub struct Service<'t> {
     table: &'t Table,
     config: ServiceConfig,
+    cache: SharedCache,
     shared: Arc<ServiceShared>,
 }
 
@@ -190,7 +191,6 @@ impl<'t> Service<'t> {
     pub fn open(table: &'t Table, config: ServiceConfig) -> Self {
         let cache = SharedCache::new(table.dims(), &config.cbcs);
         let shared = Arc::new(ServiceShared {
-            cache,
             flights: Mutex::new(BTreeMap::new()),
             negative: Mutex::new(NegativeCache {
                 entries: BTreeMap::new(),
@@ -203,12 +203,12 @@ impl<'t> Service<'t> {
             negative_inserts: AtomicU64::new(0),
             computes: AtomicU64::new(0),
         });
-        Service { table, config, shared }
+        Service { table, config, cache, shared }
     }
 
     /// Creates a session: the per-client query handle.
     ///
-    /// Sessions are `Send` and own their executor scratch; each gets a
+    /// Sessions are `Send` and own their pipeline scratch; each gets a
     /// distinct deterministic seed derived from the configured one, so
     /// randomized search strategies de-correlate across sessions while
     /// staying reproducible.
@@ -216,12 +216,12 @@ impl<'t> Service<'t> {
         let idx = self.shared.sessions.fetch_add(1, Ordering::Relaxed);
         let mut cbcs = self.config.cbcs.clone();
         cbcs.seed = cbcs.seed.wrapping_add(idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let executor = SharedCbcsExecutor::new(self.table, self.shared.cache.clone(), cbcs);
         Session {
             table: self.table,
             config: self.config.clone(),
             shared: self.shared.clone(),
-            executor,
+            cache: self.cache.clone(),
+            state: CbcsState::new(self.table, cbcs),
         }
     }
 
@@ -232,7 +232,7 @@ impl<'t> Service<'t> {
 
     /// Handle to the shared cache (snapshot reads, authoritative stats).
     pub fn cache(&self) -> &SharedCache {
-        &self.shared.cache
+        &self.cache
     }
 
     /// The service configuration.
@@ -244,7 +244,7 @@ impl<'t> Service<'t> {
     /// (authoritative, reads the master; always 0 unless the configured
     /// replacement policy is [`crate::ReplacementPolicy::TinyLfu`]).
     pub fn admission_rejects(&self) -> u64 {
-        self.shared.cache.with_read(crate::cache::Cache::admission_rejects)
+        self.cache.with_read(crate::cache::Cache::admission_rejects)
     }
 
     /// Snapshot of the service-layer counters.
@@ -261,19 +261,21 @@ impl<'t> Service<'t> {
 
 /// A per-client query handle over a [`Service`].
 ///
-/// Owns its CBCS executor (scratch buffers, strategy RNG) so queries
-/// from distinct sessions share only the service state. Obtained from
-/// [`Service::session`]; also usable anywhere an [`Executor`] is.
+/// Owns its CBCS pipeline state (scratch buffers, strategy RNG) so
+/// queries from distinct sessions share only the service state and the
+/// cache. Obtained from [`Service::session`]; also usable anywhere an
+/// [`Executor`] is.
 pub struct Session<'t> {
     table: &'t Table,
     config: ServiceConfig,
     shared: Arc<ServiceShared>,
-    executor: SharedCbcsExecutor<'t>,
+    cache: SharedCache,
+    state: CbcsState,
 }
 
 impl Session<'_> {
     /// Answers one query through the service fast paths: negative cache,
-    /// then singleflight, then the shared-cache CBCS executor.
+    /// then singleflight, then the CBCS pipeline over the shared cache.
     pub fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         check_dims(self.table, &req.constraints)?;
 
@@ -296,14 +298,19 @@ impl Session<'_> {
         if self.config.coalesce && !req.record {
             return self.execute_coalesced(req);
         }
+        self.run_pipeline(req)
+    }
+
+    /// Computes the answer: the CBCS pipeline over the shared cache.
+    fn run_pipeline(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         self.shared.computes.fetch_add(1, Ordering::Relaxed);
-        self.executor.execute(req)
+        execute_cbcs_query(self.table, &mut self.cache, &mut self.state, req)
     }
 
     /// Singleflight path: lead a new flight or join an existing one.
     fn execute_coalesced(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         let key = flight_key(&req.constraints, req.exec, req.algo);
-        // skylint: allow(lock-order) — the `execute` called below is the field's concrete `SharedCbcsExecutor::execute` (flights-free); the bare-name match back to `Session::execute` is not a real call, and the table guard is dropped before any compute.
+        // skylint: allow(lock-order) — the computes below (`run_pipeline` → `execute_cbcs_query`) never touch the flights table, and the table guard is dropped before any compute and before the re-lock at the end of this fn.
         let mut flights = self.shared.flights.lock();
         if let Some(flight) = flights.get(&key) {
             // Join: block on the leader's slot, then share its outcome.
@@ -314,10 +321,7 @@ impl Session<'_> {
             return match joined {
                 Some(outcome) => Ok(outcome),
                 // The leader failed; compute independently.
-                None => {
-                    self.shared.computes.fetch_add(1, Ordering::Relaxed);
-                    self.executor.execute(req)
-                }
+                None => self.run_pipeline(req),
             };
         }
         // Lead: register the flight and take its slot *before* releasing
@@ -327,12 +331,11 @@ impl Session<'_> {
         // instead of redoing the work.
         let flight = Arc::new(Flight { slot: Mutex::new(None) });
         flights.insert(key.clone(), flight.clone());
-        // skylint: allow(lock-order) — the compute under this slot guard is `SharedCbcsExecutor::execute`, which never touches the flights table; the slot→flights cycle only exists through the bare-name match to `Session::execute`, and the real flights re-lock at the end of this fn happens after the slot guard is dropped.
+        // skylint: allow(lock-order) — the compute under this slot guard is `run_pipeline` → `execute_cbcs_query`, which never touches the flights table; the real flights re-lock at the end of this fn happens after the slot guard is dropped.
         let mut slot = flight.slot.lock();
         drop(flights);
-        self.shared.computes.fetch_add(1, Ordering::Relaxed);
         // skylint: allow(guard-hold-span) — the flight slot guard exists to span this compute: it is private to this flight (never contended by unrelated queries), and joiners blocking on it is the designed coalescing behavior.
-        let computed = self.executor.execute(req);
+        let computed = self.run_pipeline(req);
         if let Ok(outcome) = &computed {
             *slot = Some(outcome.clone());
         }

@@ -1,10 +1,12 @@
-//! Multi-user CBCS: a thread-safe cache shared by concurrent executors.
+//! Multi-user CBCS: a thread-safe cache shared by concurrent sessions.
 //!
 //! The paper's second workload models "independent queries in a
 //! multi-user system" — many users benefiting from one cache. This module
-//! provides that deployment shape: a [`SharedCache`] shared by one
-//! [`SharedCbcsExecutor`] per user/session (constructed through
-//! [`crate::service::Service::session`]).
+//! provides that deployment shape: a [`SharedCache`] shared by every
+//! [`crate::service::Session`] of one [`crate::service::Service`]. Each
+//! session runs the one CBCS pipeline (`engine::execute_cbcs_query`)
+//! against it through the crate-private `CacheAccess` trait implemented
+//! here, so every lock and guard stays inside this file.
 //!
 //! # Epoch/snapshot protocol
 //!
@@ -16,17 +18,17 @@
 //!   replaced wholesale by `insert` (clone-and-publish), never mutated
 //!   in place.
 //!
-//! Readers call [`SharedCache::snapshot`], which clones the `Arc` under
-//! a momentary read lock and releases it before any lookup work begins:
-//! the expensive cache search, case analysis, planning, fetching and the
-//! skyline computation all run against the immutable snapshot with *no*
-//! lock held, so concurrent lookups never serialize on the write side and
-//! an in-flight insert never blocks them. A monotone epoch counter is
-//! bumped with every publication so observers can tell snapshots apart
-//! without comparing contents; because the snapshot is swapped as a whole
-//! `Arc`, a reader sees either the pre-insert or the post-insert cache,
-//! never a torn intermediate (model-checked in
-//! `crates/core/tests/model_serve.rs`).
+//! A query's read phase takes one [`SharedCache::snapshot`], which clones
+//! the `Arc` under a momentary read lock and releases it before any
+//! lookup work begins: the cache search, case analysis and planning run
+//! against the immutable snapshot with *no* lock held, and the fetch and
+//! skyline stages run after it is dropped, so concurrent lookups never
+//! serialize on the write side and an in-flight insert never blocks them.
+//! A monotone epoch counter is bumped with every publication so observers
+//! can tell snapshots apart without comparing contents; because the
+//! snapshot is swapped as a whole `Arc`, a reader sees either the
+//! pre-insert or the post-insert cache, never a torn intermediate
+//! (model-checked in `crates/core/tests/model_serve.rs`).
 //!
 //! `touch` (LRU bookkeeping on a hit) deliberately mutates only the
 //! master: replacement decisions made under the master lock always see
@@ -37,33 +39,20 @@
 //! Lock order is `master → snap`, only ever in that direction (the
 //! publication happens nested under the master guard so two racing
 //! inserts cannot publish out of order). Telemetry (spans/counters) is
-//! collected into locals and published after guards drop — skylint's
-//! `guard-hold-span` rule enforces that no guard is live across a
-//! recorder call. A cached item may be evicted between the snapshot read
-//! and the write phase; that is benign (the executor works on its own
-//! clone, and `touch` on a gone item is a no-op).
+//! reported after guards drop — skylint's `guard-hold-span` rule enforces
+//! that no guard is live across a recorder call. A cached item may be
+//! evicted between the snapshot read and the write phase; that is benign
+//! (the plan owns its retained points, and `touch` on a gone item is a
+//! no-op).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-// Shim sync primitives: identical to `std`/`parking_lot` in production,
+// Shim sync primitives: identical to `std` in production,
 // schedulable under a `skycheck::Explorer` model run (see DESIGN.md §15).
 use skycheck::sync::{Arc, AtomicU64, Ordering, RwLock};
 
-use skycache_algos::{Sfs, SkylineAlgorithm};
-use skycache_geom::{Aabb, Constraints, Point, PointBlock};
-use skycache_obs::{names, Phase, QueryRecorder, Recorder};
-use skycache_storage::Table;
+use skycache_geom::{Constraints, Point};
 
-use crate::cache::{Cache, ItemCost};
-use crate::cases::{plan_composed, plan_with_extra};
-use crate::clock::Stopwatch;
-use crate::engine::{
-    check_dims, query_naive, query_naive_legacy, query_planned, query_planned_legacy, CbcsConfig,
-    Executor, Probe, QueryOutcome, QueryRequest, QueryScratch, QueryStats,
-};
-use crate::stability::{classify, Overlap};
-use crate::Result;
+use crate::cache::{Cache, InsertOutcome, ItemCost};
+use crate::engine::{CacheAccess, CbcsConfig};
 
 /// Write side plus published snapshot; see the module docs for the
 /// protocol. Private so no caller can reach a raw lock or its guard —
@@ -140,39 +129,42 @@ impl SharedCache {
     pub fn with_read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R {
         f(&self.inner.master.read()) // lock-order: read
     }
+}
+
+impl CacheAccess for SharedCache {
+    /// Runs the read phase on one published snapshot (see
+    /// [`SharedCache::snapshot`]); no lock is held while `f` runs.
+    fn read_phase<R>(&mut self, f: impl FnOnce(&Cache) -> R) -> R {
+        f(&self.snapshot())
+    }
 
     /// Records a cache hit on the master (LRU bookkeeping only — no
     /// republication, see the module docs). A no-op if the item has
     /// been evicted meanwhile.
-    pub(crate) fn touch(&self, id: u64) {
+    fn touch(&mut self, id: u64) {
         // skylint: allow(lock-order) — the callee is `Cache::touch` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
         self.inner.master.write().touch(id); // lock-order: write
     }
 
     /// Records an exact-hit demand in the master's admission sketch
     /// (sketch bookkeeping only — the item store is unchanged, so like
-    /// [`SharedCache::touch`] this does not republish).
-    pub(crate) fn note_demand(&self, constraints: &Constraints) {
+    /// `touch` this does not republish).
+    fn note_demand(&mut self, constraints: &Constraints) {
         // skylint: allow(lock-order) — the callee is `Cache::note_demand` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
         self.inner.master.write().note_demand(constraints); // lock-order: write
     }
 
     /// Inserts a result into the master, publishes a fresh snapshot and
-    /// bumps the epoch. Reports whether the admission gate admitted the
-    /// item and how many items the insert evicted/rejected.
-    pub(crate) fn insert_and_publish(
-        &self,
+    /// bumps the epoch.
+    fn insert_result(
+        &mut self,
         constraints: Constraints,
         skyline: &[Point],
         cost: ItemCost,
-    ) -> PublishOutcome {
-        // skylint: allow(lock-order) — `master.insert_with_cost` is a `Cache` method on the guard's own target (lock-free); the bare-name matches to Table/RStarTree/ColumnIndex inserts never run under this guard.
+    ) -> InsertOutcome {
+        // skylint: allow(lock-order) — `master.insert_counted` is a `Cache` method on the guard's own target (lock-free); the bare-name matches to SharedCache/Table/RStarTree/ColumnIndex methods never run under this guard.
         let mut master = self.inner.master.write(); // lock-order: write
-        let evictions_before = master.evictions();
-        let rejects_before = master.admission_rejects();
-        let admitted = master.insert_with_cost(constraints, skyline, cost).is_some();
-        let evicted = master.evictions() - evictions_before;
-        let rejected = master.admission_rejects() - rejects_before;
+        let outcome = master.insert_counted(constraints, skyline, cost);
         // Publish nested under the master guard: racing inserts publish
         // in master order, so a newer snapshot is never overwritten by
         // an older one. A rejected insert still publishes — the TinyLFU
@@ -180,271 +172,26 @@ impl SharedCache {
         let published = Arc::new(master.clone());
         *self.inner.snap.write() = published; // lock-order: write
         self.inner.epoch.fetch_add(1, Ordering::Release);
-        PublishOutcome { admitted, evicted, rejected }
-    }
-}
-
-/// What [`SharedCache::insert_and_publish`] did, reported after the
-/// guards drop so telemetry never runs under a lock.
-pub(crate) struct PublishOutcome {
-    /// Whether the item passed the admission gate and was stored.
-    pub admitted: bool,
-    /// Items the insert evicted.
-    pub evicted: u64,
-    /// Insert attempts the admission gate rejected (0 or 1 here).
-    pub rejected: u64,
-}
-
-/// A per-user CBCS executor over a [`SharedCache`].
-///
-/// Constructed through [`crate::service::Service::session`]; the raw
-/// constructor is crate-private so every concurrent deployment goes
-/// through the service layer (singleflight, negative cache, snapshot
-/// reads) rather than wiring executors ad hoc.
-pub struct SharedCbcsExecutor<'t> {
-    table: &'t Table,
-    cache: SharedCache,
-    config: CbcsConfig,
-    algo: Box<dyn SkylineAlgorithm>,
-    rng: StdRng,
-    data_bounds: Aabb,
-    scratch: QueryScratch,
-}
-
-impl<'t> SharedCbcsExecutor<'t> {
-    /// Creates an executor bound to an existing shared cache.
-    ///
-    /// # Panics
-    /// Panics if the cache and table dimensionalities differ.
-    pub(crate) fn new(table: &'t Table, cache: SharedCache, config: CbcsConfig) -> Self {
-        // Hoisted out of the assert so the lock provably drops before
-        // the panic formatting machinery runs.
-        let cache_dims = cache.dims();
-        assert_eq!(cache_dims, table.dims(), "cache/table dimensionality mismatch");
-        let data_bounds = Aabb::bounding(table.all_points())
-            // skylint: allow(no-panic-paths) — Table::build rejects empty point sets.
-            .expect("tables are non-empty");
-        let rng = StdRng::seed_from_u64(config.seed);
-        SharedCbcsExecutor {
-            table,
-            cache,
-            config,
-            algo: Box::new(Sfs),
-            rng,
-            data_bounds,
-            scratch: QueryScratch::new(),
-        }
-    }
-
-    /// Replaces the in-memory skyline component.
-    pub fn with_algorithm(mut self, algo: Box<dyn SkylineAlgorithm>) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    /// Handle to the shared cache.
-    pub fn cache(&self) -> &SharedCache {
-        &self.cache
-    }
-}
-
-impl Executor for SharedCbcsExecutor<'_> {
-    fn name(&self) -> String {
-        format!("SharedCBCS[{}]", self.config.mpr.label())
-    }
-
-    fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        let c = &req.constraints;
-        check_dims(self.table, c)?;
-        let exec = req.exec.unwrap_or(self.config.exec);
-        let algo: &dyn SkylineAlgorithm = match req.algo {
-            Some(choice) => choice.algorithm(),
-            None => self.algo.as_ref(),
-        };
-
-        let mut stats = QueryStats::default();
-        let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
-        let mut probe = Probe::new(&mut stats, rec.as_mut());
-
-        // Phase 1 (lock-free): search the published snapshot and clone
-        // the selected item(s) out. The snapshot is an immutable `Arc`
-        // clone, so no lock is held across the search — concurrent
-        // lookups never serialize on the cache write side.
-        let (selection, lookup_elapsed, analysis_elapsed, n_candidates, overlap_scans) = {
-            let cache = self.cache.snapshot();
-            let t0 = Stopwatch::start();
-            let lookup = cache.lookup_into(c, &mut self.scratch.lookup_ids);
-            let ids: &[u64] = &self.scratch.lookup_ids;
-            let lookup_elapsed = t0.elapsed();
-
-            let t1 = Stopwatch::start();
-            let picked = self
-                .config
-                .strategy
-                .select_indexed(
-                    ids.len(),
-                    // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-                    |i| cache.get(ids[i]).expect("lookup ids are live"),
-                    c,
-                    &self.data_bounds,
-                    &mut self.rng,
-                )
-                .map(|idx| {
-                    // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-                    let primary = cache.get(ids[idx]).expect("lookup ids are live");
-                    let extra: Vec<Point> = if self.config.extra_items > 0 {
-                        let mut others: Vec<u64> =
-                            ids.iter().copied().filter(|&id| id != primary.id).collect();
-                        others.sort_by(|&a, &b| {
-                            let va =
-                                cache.get(a).map_or(0.0, |it| c.overlap_volume(&it.constraints));
-                            let vb =
-                                cache.get(b).map_or(0.0, |it| c.overlap_volume(&it.constraints));
-                            vb.total_cmp(&va)
-                        });
-                        others
-                            .into_iter()
-                            .take(self.config.extra_items)
-                            .filter_map(|id| cache.get(id))
-                            .flat_map(|it| it.skyline.to_points())
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    // Compositional answering (DESIGN.md §17.3): clone the
-                    // cover-ordered contributors out of the snapshot so the
-                    // expensive composition itself runs in phase 2 with no
-                    // snapshot pinned. The single-item fallback reuses
-                    // `parts[0]`, so a failed composition costs nothing
-                    // beyond these clones.
-                    let compose = self.config.compose
-                        && self.config.compose_items >= 2
-                        && ids.len() >= 2
-                        && !matches!(
-                            classify(&primary.constraints, c),
-                            Overlap::Exact | Overlap::CaseB { .. }
-                        );
-                    let mut parts: Vec<(u64, Constraints, PointBlock)> = Vec::new();
-                    parts.push((primary.id, primary.constraints.clone(), primary.skyline.clone()));
-                    if compose {
-                        for &id in ids {
-                            if parts.len() >= self.config.compose_items {
-                                break;
-                            }
-                            if id == primary.id {
-                                continue;
-                            }
-                            // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-                            let item = cache.get(id).expect("lookup ids are live");
-                            parts.push((item.id, item.constraints.clone(), item.skyline.clone()));
-                        }
-                    }
-                    (parts, extra)
-                });
-            (picked, lookup_elapsed, t1.elapsed(), ids.len() as u64, lookup.scans)
-        };
-        probe.record_span(Phase::CacheLookup, lookup_elapsed);
-        probe.record_span(Phase::CaseAnalysis, analysis_elapsed);
-        probe.add_counter(names::CACHE_CANDIDATES, n_candidates);
-        probe.add_counter(names::CACHE_OVERLAP_SCANS, overlap_scans);
-
-        // Phase 2 (no lock): plan, fetch, merge, skyline. The executor's
-        // own scratch buffers carry the block path — they are private to
-        // this session, so the shared cache stays the only contended
-        // state.
-        let skyline = match selection {
-            None => {
-                probe.add_counter(names::CACHE_MISSES, 1);
-                if self.config.block_path {
-                    query_naive(self.table, algo, exec, c, &mut self.scratch, &mut probe)
-                } else {
-                    query_naive_legacy(self.table, algo, exec, c, &mut probe)
-                }
-            }
-            Some((parts, extra)) => {
-                probe.add_counter(names::CACHE_HITS, 1);
-                probe.stats.cache_hit = true;
-
-                let t2 = Stopwatch::start();
-                let composed = if parts.len() >= 2 {
-                    let refs: Vec<(&Constraints, &PointBlock)> =
-                        parts.iter().map(|(_, pc, sky)| (pc, sky)).collect();
-                    plan_composed(&refs, c, self.config.mpr, &self.data_bounds)
-                } else {
-                    None
-                };
-                let plan = match composed {
-                    Some(cp) => {
-                        probe.stats.composed_items = cp.items_used;
-                        probe.stats.cover_fraction = cp.cover_fraction;
-                        probe.add_counter(names::CACHE_COMPOSED_HITS, 1);
-                        probe.set_gauge(names::CACHE_COVER_FRACTION, cp.cover_fraction);
-                        // Contributors are the first `items_used` parts
-                        // (cover order, primary first).
-                        for (id, _, _) in parts.iter().take(cp.items_used) {
-                            self.cache.touch(*id);
-                        }
-                        cp.plan
-                    }
-                    None => {
-                        let (primary_id, old_c, old_sky) =
-                            // skylint: allow(no-panic-paths) — the selection is built with the primary as its first part, so the vector is never empty here.
-                            parts.first().expect("selection carries the primary item");
-                        probe.stats.composed_items = 1;
-                        self.cache.touch(*primary_id);
-                        plan_with_extra(old_c, old_sky, &extra, c, self.config.mpr)
-                    }
-                };
-                probe.record_span(Phase::MprCompute, t2.elapsed());
-
-                if self.config.block_path {
-                    query_planned(self.table, algo, exec, plan, &mut self.scratch, &mut probe)
-                } else {
-                    query_planned_legacy(self.table, algo, exec, plan, &mut probe)
-                }
-            }
-        };
-        probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
-
-        // Phase 3 (write): record the result on the master and publish a
-        // fresh snapshot. The guards live inside `insert_and_publish`;
-        // counters go out after it returns.
-        if self.config.cache_results {
-            if matches!(probe.stats.case, Some(Overlap::Exact)) {
-                // Already cached under these very constraints:
-                // re-inserting would duplicate the item and evict an
-                // innocent victim. Record the demand for admission only.
-                self.cache.note_demand(c);
-            } else {
-                let cost = ItemCost {
-                    points_read: probe.stats.points_read,
-                    fetch_ns: probe.stats.fetch_sim_ns,
-                };
-                let outcome = self.cache.insert_and_publish(c.clone(), &skyline, cost);
-                if outcome.admitted {
-                    probe.add_counter(names::CACHE_INSERTIONS, 1);
-                }
-                if outcome.evicted > 0 {
-                    probe.add_counter(names::CACHE_EVICTIONS, outcome.evicted);
-                }
-                if outcome.rejected > 0 {
-                    probe.add_counter(names::CACHE_ADMISSION_REJECTS, outcome.rejected);
-                }
-            }
-        }
-
-        Ok(QueryOutcome { skyline, stats, report: rec.map(QueryRecorder::into_report) })
+        outcome
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skycache_geom::{Constraints, Point};
-    use skycache_storage::TableConfig;
+    use crate::engine::{QueryRequest, QueryResult};
+    use crate::service::{Service, ServiceConfig, Session};
+    use skycache_storage::{Table, TableConfig};
 
-    fn run(ex: &mut impl Executor, c: &Constraints) -> crate::engine::QueryResult {
-        ex.execute(&QueryRequest::new(c.clone())).unwrap().into_result()
+    /// A service whose sessions reach the shared-cache pipeline on every
+    /// query: no singleflight joins, no negative-cache answers.
+    fn open(t: &Table) -> Service<'_> {
+        let config = ServiceConfig { coalesce: false, negative_cache: false, ..Default::default() };
+        Service::open(t, config)
+    }
+
+    fn run(session: &mut Session<'_>, c: &Constraints) -> QueryResult {
+        session.execute(&QueryRequest::new(c.clone())).unwrap().into_result()
     }
 
     fn table() -> Table {
@@ -459,9 +206,9 @@ mod tests {
     #[test]
     fn second_user_hits_first_users_result() {
         let t = table();
-        let shared = SharedCache::new(2, &CbcsConfig::default());
-        let mut alice = SharedCbcsExecutor::new(&t, shared.clone(), CbcsConfig::default());
-        let mut bob = SharedCbcsExecutor::new(&t, shared.clone(), CbcsConfig::default());
+        let service = open(&t);
+        let mut alice = service.session();
+        let mut bob = service.session();
 
         let c = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
         let r1 = run(&mut alice, &c);
@@ -472,20 +219,20 @@ mod tests {
         assert_eq!(r2.skyline, r1.skyline);
         // Bob's exact hit does not re-insert: the result is already
         // cached under the identical constraints.
-        assert_eq!(shared.len(), 1);
+        assert_eq!(service.cache().len(), 1);
     }
 
     #[test]
     fn epoch_advances_once_per_insert_and_snapshots_are_stable() {
         let t = table();
-        let shared = SharedCache::new(2, &CbcsConfig::default());
+        let service = open(&t);
+        let shared = service.cache();
         assert_eq!(shared.epoch(), 0);
         let before = shared.snapshot();
         assert!(before.is_empty());
 
-        let mut ex = SharedCbcsExecutor::new(&t, shared.clone(), CbcsConfig::default());
         let c = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
-        run(&mut ex, &c);
+        run(&mut service.session(), &c);
 
         // One execute on a miss = one insert = one publication.
         assert_eq!(shared.epoch(), 1);
@@ -497,17 +244,14 @@ mod tests {
     #[test]
     fn touch_does_not_republish() {
         let t = table();
-        let shared = SharedCache::new(2, &CbcsConfig::default());
-        let mut ex = SharedCbcsExecutor::new(&t, shared.clone(), CbcsConfig::default());
+        let service = open(&t);
         let c = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
-        run(&mut ex, &c); // miss + insert → epoch 1
-        let config = CbcsConfig { cache_results: false, ..CbcsConfig::default() };
-        let mut ro = SharedCbcsExecutor::new(&t, shared.clone(), config);
-        let r = run(&mut ro, &c); // hit (touch), result not cached
+        run(&mut service.session(), &c); // miss + insert → epoch 1
+        let r = run(&mut service.session(), &c); // exact hit: touch + demand note
         assert!(r.stats.cache_hit);
-        assert_eq!(shared.epoch(), 1, "a hit must not publish a snapshot");
+        assert_eq!(service.cache().epoch(), 1, "a hit must not publish a snapshot");
         // But the master saw the LRU bookkeeping.
-        shared.with_read(|cache| {
+        service.cache().with_read(|cache| {
             assert_eq!(cache.iter().map(|it| it.use_count).sum::<u64>(), 1);
         });
     }
@@ -515,7 +259,7 @@ mod tests {
     #[test]
     fn concurrent_users_stay_correct() {
         let t = table();
-        let shared = SharedCache::new(2, &CbcsConfig::default());
+        let service = open(&t);
         let queries: Vec<Constraints> = (0..8)
             .map(|i| {
                 let lo = f64::from(i) * 0.05;
@@ -528,7 +272,8 @@ mod tests {
         {
             let mut ex = crate::engine::BaselineExecutor::new(&t);
             for c in &queries {
-                let mut sky = run(&mut ex, c).skyline;
+                let req = QueryRequest::new(c.clone());
+                let mut sky = crate::engine::Executor::execute(&mut ex, &req).unwrap().skyline;
                 sky.sort_by_key(|p| (p[0].to_bits(), p[1].to_bits()));
                 reference.push(sky);
             }
@@ -536,16 +281,14 @@ mod tests {
 
         std::thread::scope(|scope| {
             for worker in 0..4 {
-                let t = &t;
-                let shared = shared.clone();
+                // Each session draws its own strategy seed from the service.
+                let mut session = service.session();
                 let queries = &queries;
                 let reference = &reference;
                 scope.spawn(move || {
-                    let config = CbcsConfig { seed: worker as u64, ..Default::default() };
-                    let mut ex = SharedCbcsExecutor::new(t, shared, config);
                     for _round in 0..3 {
                         for (c, want) in queries.iter().zip(reference) {
-                            let mut got = run(&mut ex, c).skyline;
+                            let mut got = run(&mut session, c).skyline;
                             got.sort_by_key(|p| (p[0].to_bits(), p[1].to_bits()));
                             assert_eq!(&got, want, "worker {worker}");
                         }
@@ -553,6 +296,6 @@ mod tests {
                 });
             }
         });
-        assert!(shared.len() >= queries.len());
+        assert!(service.cache().len() >= queries.len());
     }
 }

@@ -104,10 +104,9 @@ fn parse_bound(token: &str, unbounded: f64) -> Result<f64, String> {
 /// comma-joined coordinates in canonical bitwise order.
 pub fn query_reply(outcome: &QueryOutcome) -> String {
     let mut sky: Vec<&[f64]> = outcome.skyline.iter().map(|p| p.coords()).collect();
-    sky.sort_by(|a, b| {
-        let key = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        key(a).cmp(&key(b))
-    });
+    // One bit-pattern key per point, computed once rather than per
+    // comparison.
+    sky.sort_by_cached_key(|c| c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>());
     let mut line =
         format!("OK {} {}", sky.len(), if outcome.stats.cache_hit { "hit" } else { "miss" });
     for coords in sky {
@@ -194,6 +193,25 @@ mod tests {
             report: None,
         };
         assert_eq!(query_reply(&outcome), "OK 2 hit 1,2 2,1");
+        // Bitwise order: `0.0` sorts before `-0.0` (sign bit set), and
+        // points sharing a prefix are ordered by their first differing
+        // coordinate.
+        let signed_zero = QueryOutcome {
+            skyline: vec![Point::from(vec![-0.0, 1.0]), Point::from(vec![0.0, 1.0])],
+            stats: QueryStats::default(),
+            report: None,
+        };
+        assert_eq!(query_reply(&signed_zero), "OK 2 miss 0,1 -0,1");
+        let tied_prefix = QueryOutcome {
+            skyline: vec![
+                Point::from(vec![1.0, 2.0, 5.0]),
+                Point::from(vec![1.0, 2.0, 4.0]),
+                Point::from(vec![1.0, 0.5, 9.0]),
+            ],
+            stats: QueryStats::default(),
+            report: None,
+        };
+        assert_eq!(query_reply(&tied_prefix), "OK 3 miss 1,0.5,9 1,2,4 1,2,5");
         let empty = QueryOutcome { skyline: vec![], stats: QueryStats::default(), report: None };
         assert_eq!(query_reply(&empty), "OK 0 miss");
     }

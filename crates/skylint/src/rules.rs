@@ -197,8 +197,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              justification do not propagate. Direct (same-function) panics\n\
              are left to no-panic-paths to avoid double-reporting.\n\
              \n\
-             Rationale: a panic one call deep behind `SharedCbcsExecutor::\n\
-             query` still kills a worker lane mid-fetch; single-line token\n\
+             Rationale: a panic one call deep behind `Session::execute`\n\
+             still kills a worker lane mid-fetch; single-line token\n\
              patterns cannot see it, the call graph can.\n\
              \n\
              Escape hatch: `// skylint: allow(panic-reachability) — <why>`\n\

@@ -42,9 +42,8 @@ impl Default for TableConfig {
 /// Declarative description of one storage access: which regions to
 /// range-query and how many concurrent I/O lanes to use.
 ///
-/// This replaces the old quartet of `fetch` / `fetch_batch` /
-/// `fetch_batch_parallel` / `fetch_constrained` entry points: callers
-/// build a plan and hand it to [`Table::fetch_plan`].
+/// Callers build a plan and hand it to [`Table::fetch_plan`] (or
+/// [`Table::fetch_plan_into`] for the reusable-scratch variant).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FetchPlan {
     /// Regions to fetch, one issued range query each.
@@ -767,31 +766,6 @@ impl Table {
         }
         pages.len() as u64
     }
-
-    /// Executes one range query over a (possibly half-open) region.
-    #[deprecated(note = "use Table::fetch_plan with FetchPlan::single")]
-    pub fn fetch(&self, region: &HyperRect) -> FetchResult {
-        self.fetch_plan(&FetchPlan::single(region.clone()))
-    }
-
-    /// Executes a batch of disjoint range queries, merging rows and stats.
-    #[deprecated(note = "use Table::fetch_plan with FetchPlan::new")]
-    pub fn fetch_batch(&self, regions: &[HyperRect]) -> FetchResult {
-        self.fetch_plan(&FetchPlan::new(regions.to_vec()))
-    }
-
-    /// Executes a batch of disjoint range queries over up to `lanes`
-    /// concurrent I/O streams.
-    #[deprecated(note = "use Table::fetch_plan with FetchPlan::with_lanes")]
-    pub fn fetch_batch_parallel(&self, regions: &[HyperRect], lanes: usize) -> FetchResult {
-        self.fetch_plan(&FetchPlan::new(regions.to_vec()).with_lanes(lanes))
-    }
-
-    /// Executes the constraint range query `RQ(C)` of the naive approach.
-    #[deprecated(note = "use Table::fetch_plan with FetchPlan::constrained")]
-    pub fn fetch_constrained(&self, c: &Constraints) -> FetchResult {
-        self.fetch_plan(&FetchPlan::constrained(c))
-    }
 }
 
 #[cfg(test)]
@@ -1064,27 +1038,6 @@ mod tests {
         let two = FetchPlan::new(vec![c.region(), c.region()]).with_lanes(0);
         assert_eq!(two.resolved_lanes(), 1);
         assert_eq!(two.with_lanes(8).resolved_lanes(), 2);
-    }
-
-    /// The deprecated entry points must stay behaviourally identical to
-    /// the [`FetchPlan`] they delegate to until they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_fetch_plan() {
-        let t = table();
-        let c = Constraints::from_pairs(&[(2.0, 4.0), (3.0, 5.0)]).unwrap();
-        let r = c.region();
-        assert_eq!(t.fetch(&r).stats, fetch_one(&t, &r).stats);
-        assert_eq!(t.fetch_constrained(&c).rows, fetch_c(&t, &c).rows);
-        let regions = vec![r.clone(), Constraints::unbounded(2).unwrap().region()];
-        assert_eq!(
-            t.fetch_batch(&regions).stats,
-            t.fetch_plan(&FetchPlan::new(regions.clone())).stats
-        );
-        let par = t.fetch_batch_parallel(&regions, 2);
-        let planned = t.fetch_plan(&FetchPlan::new(regions).with_lanes(2));
-        assert_eq!(par.stats, planned.stats);
-        assert_eq!(par.lane_latencies, planned.lane_latencies);
     }
 
     #[test]
