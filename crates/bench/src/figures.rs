@@ -878,10 +878,10 @@ pub fn obs(scale: &Scale) {
 /// state within a few queries, while a repeated identical pass would
 /// degenerate to pure exact hits and measure the cache instead of the
 /// fetch/merge/skyline hot path. Results are written to
-/// `BENCH_perf.json` (schema `skyperf-bench/3`), including a d ≥ 5
-/// dominance-kernel microbench and per-kernel-generation end-to-end
-/// throughput (the [`Kernel`] generation is flipped in-process around
-/// the CBCS runs, then restored to the environment default).
+/// `BENCH_perf.json` (schema `skyperf-bench/4`), including a
+/// dominance-kernel microbench that runs both `Kernel` generations at
+/// |D| = 4 and 6, either side of the `WIDE_MIN_DIMS` threshold that
+/// `Kernel::for_dims` selects by.
 pub fn perf(scale: &Scale) {
     use std::time::Instant;
 
@@ -892,73 +892,76 @@ pub fn perf(scale: &Scale) {
 
     println!("\n#### CBCS hot path: throughput, allocations/query, coalescing ####");
 
-    // Dominance-kernel microbench: block-vs-block filtering at d >= 5,
-    // where the wide lane-blocked generation amortizes best. The window
-    // is the skyline of an independent sample (exactly what a D&C merge
+    // Dominance-kernel microbench: block-vs-block filtering either side
+    // of WIDE_MIN_DIMS, each generation passed explicitly. The window is
+    // the skyline of an independent sample (exactly what a D&C merge
     // filters against); the candidate block is raw random data. Both
     // generations perform identical dominance tests (same row-granular
     // early exit), so the throughput ratio is a pure kernel comparison.
-    let micro_dims = 6;
     let micro_cands = 4096;
-    let micro = {
-        use skycache_algos::{Sfs, SkylineAlgorithm};
-        use skycache_datagen::SyntheticGen;
+    let micro: Vec<String> = [4, 6]
+        .into_iter()
+        .map(|micro_dims| {
+            use skycache_algos::{Sfs, SkylineAlgorithm};
+            use skycache_datagen::SyntheticGen;
 
-        let cand_pts =
-            SyntheticGen::new(Distribution::Independent, micro_dims, 97).generate(micro_cands);
-        let window_pts =
-            SyntheticGen::new(Distribution::Independent, micro_dims, 89).generate(micro_cands);
-        let window = PointBlock::from_points(&Sfs.compute(window_pts).skyline)
-            .expect("skyline of a nonempty sample is nonempty");
-        let candidates = PointBlock::from_points(&cand_pts).expect("generated data is uniform");
-        let run = |kernel: Kernel| -> (f64, u64) {
-            let mut best = f64::INFINITY;
-            let mut tests = 0;
-            for _ in 0..5 {
-                let mut scratch = candidates.clone();
-                let t0 = Instant::now();
-                let stats =
-                    std::hint::black_box(retain_nondominated(&mut scratch, &window, kernel));
-                best = best.min(t0.elapsed().as_secs_f64());
-                tests = stats.dominance_tests;
-            }
-            (best, tests)
-        };
-        let (scalar_s, tests) = run(Kernel::Scalar);
-        let (wide_s, wide_tests) = run(Kernel::Wide);
-        assert_eq!(tests, wide_tests, "generations must count identically");
-        let speedup = scalar_s / wide_s;
-        print_header(
-            &format!(
-                "Dominance kernel (retain_nondominated, |D| = {micro_dims}, \
-                 {micro_cands} candidates x {} window rows)",
-                window.len()
-            ),
-            &["scalar Mt/s".into(), "wide Mt/s".into(), "speedup".into()],
-        );
-        print_row(
-            "",
-            &[
-                format!("{:.1}", tests as f64 / scalar_s / 1e6),
-                format!("{:.1}", tests as f64 / wide_s / 1e6),
-                format!("{speedup:.2}x"),
-            ],
-        );
-        format!(
-            concat!(
-                "{{\"dims\": {}, \"candidates\": {}, \"window_rows\": {}, ",
-                "\"dominance_tests\": {}, \"scalar_mtests_per_s\": {:.2}, ",
-                "\"wide_mtests_per_s\": {:.2}, \"wide_speedup\": {:.3}}}"
-            ),
-            micro_dims,
-            micro_cands,
-            window.len(),
-            tests,
-            tests as f64 / scalar_s / 1e6,
-            tests as f64 / wide_s / 1e6,
-            speedup
-        )
-    };
+            let cand_pts =
+                SyntheticGen::new(Distribution::Independent, micro_dims, 97).generate(micro_cands);
+            let window_pts =
+                SyntheticGen::new(Distribution::Independent, micro_dims, 89).generate(micro_cands);
+            let window = PointBlock::from_points(&Sfs.compute(window_pts).skyline)
+                .expect("skyline of a nonempty sample is nonempty");
+            let candidates = PointBlock::from_points(&cand_pts).expect("generated data is uniform");
+            let run = |kernel: Kernel| -> (f64, u64) {
+                let mut best = f64::INFINITY;
+                let mut tests = 0;
+                for _ in 0..5 {
+                    let mut scratch = candidates.clone();
+                    let t0 = Instant::now();
+                    let stats =
+                        std::hint::black_box(retain_nondominated(&mut scratch, &window, kernel));
+                    best = best.min(t0.elapsed().as_secs_f64());
+                    tests = stats.dominance_tests;
+                }
+                (best, tests)
+            };
+            let (scalar_s, tests) = run(Kernel::Scalar);
+            let (wide_s, wide_tests) = run(Kernel::Wide);
+            assert_eq!(tests, wide_tests, "generations must count identically");
+            let speedup = scalar_s / wide_s;
+            print_header(
+                &format!(
+                    "Dominance kernel (retain_nondominated, |D| = {micro_dims}, \
+                     {micro_cands} candidates x {} window rows, for_dims: {:?})",
+                    window.len(),
+                    Kernel::for_dims(micro_dims)
+                ),
+                &["scalar Mt/s".into(), "wide Mt/s".into(), "speedup".into()],
+            );
+            print_row(
+                "",
+                &[
+                    format!("{:.1}", tests as f64 / scalar_s / 1e6),
+                    format!("{:.1}", tests as f64 / wide_s / 1e6),
+                    format!("{speedup:.2}x"),
+                ],
+            );
+            format!(
+                concat!(
+                    "{{\"dims\": {}, \"candidates\": {}, \"window_rows\": {}, ",
+                    "\"dominance_tests\": {}, \"scalar_mtests_per_s\": {:.2}, ",
+                    "\"wide_mtests_per_s\": {:.2}, \"wide_speedup\": {:.3}}}"
+                ),
+                micro_dims,
+                micro_cands,
+                window.len(),
+                tests,
+                tests as f64 / scalar_s / 1e6,
+                tests as f64 / wide_s / 1e6,
+                speedup
+            )
+        })
+        .collect();
 
     let dims = 4;
     let n = scale.mid_n.min(100_000);
@@ -1016,80 +1019,58 @@ pub fn perf(scale: &Scale) {
 
     let mut entries = Vec::new();
     for (name, queries) in &workloads {
-        // Per-kernel-generation end-to-end throughput: pin each generation
-        // in-process around a run so one `repro perf` invocation covers
-        // both, then restore the pin-or-adaptive default for the headline
-        // `cbcs` measurement (what a stock deployment runs).
-        Kernel::set_active(Kernel::Scalar);
-        let scalar = run_one(queries);
-        Kernel::set_active(Kernel::Wide);
-        let wide = run_one(queries);
-        Kernel::reset_to_env();
         let cbcs = run_one(queries);
 
         print_header(
             &format!("{name} workload (q = {}, n = {}, |D| = {dims})", queries.len(), fmt_size(n)),
             &["qps".into(), "allocs/q".into(), "rq exec".into(), "coalesced".into()],
         );
-        for (label, m) in [("scalar", &scalar), ("wide", &wide), ("auto", &cbcs)] {
-            print_row(
-                label,
-                &[
-                    format!("{:.0}", m.qps),
-                    format!("{:.1}", m.allocs_per_query),
-                    m.rq_executed.to_string(),
-                    m.regions_coalesced.to_string(),
-                ],
-            );
-        }
+        print_row(
+            "cbcs",
+            &[
+                format!("{:.0}", cbcs.qps),
+                format!("{:.1}", cbcs.allocs_per_query),
+                cbcs.rq_executed.to_string(),
+                cbcs.regions_coalesced.to_string(),
+            ],
+        );
 
-        let fmt_measured = |m: &Measured| {
-            format!(
-                concat!(
-                    "{{\"qps\": {:.1}, \"{}\": {:.2}, \"points_read\": {}, ",
-                    "\"rq_issued\": {}, \"rq_executed\": {}, \"{}\": {}}}"
-                ),
-                m.qps,
-                names::ALLOC_PER_QUERY,
-                m.allocs_per_query,
-                m.points_read,
-                m.rq_issued,
-                m.rq_executed,
-                names::FETCH_REGIONS_COALESCED,
-                m.regions_coalesced,
-            )
-        };
         entries.push(format!(
             concat!(
                 "{{\n",
                 "      \"name\": \"{}\",\n",
                 "      \"queries\": {},\n",
-                "      \"cbcs\": {},\n",
-                "      \"kernels\": {{\"scalar_qps\": {:.1}, \"wide_qps\": {:.1}}}\n",
+                "      \"cbcs\": {{\"qps\": {:.1}, \"{}\": {:.2}, \"points_read\": {}, ",
+                "\"rq_issued\": {}, \"rq_executed\": {}, \"{}\": {}}}\n",
                 "    }}"
             ),
             name,
             queries.len(),
-            fmt_measured(&cbcs),
-            scalar.qps,
-            wide.qps,
+            cbcs.qps,
+            names::ALLOC_PER_QUERY,
+            cbcs.allocs_per_query,
+            cbcs.points_read,
+            cbcs.rq_issued,
+            cbcs.rq_executed,
+            names::FETCH_REGIONS_COALESCED,
+            cbcs.regions_coalesced,
         ));
     }
 
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"skyperf-bench/3\",\n",
+            "  \"schema\": \"skyperf-bench/4\",\n",
             "  \"n\": {},\n",
             "  \"dims\": {},\n",
             "  \"mpr\": \"aMPR(k=1)\",\n",
-            "  \"kernel_microbench\": {},\n",
+            "  \"kernel_microbench\": [\n    {}\n  ],\n",
             "  \"workloads\": [\n    {}\n  ]\n",
             "}}\n"
         ),
         n,
         dims,
-        micro,
+        micro.join(",\n    "),
         entries.join(",\n    ")
     );
     match std::fs::write("BENCH_perf.json", &json) {

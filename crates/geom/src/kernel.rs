@@ -19,24 +19,16 @@
 //! rows) classify identically. `tests/prop_kernels.rs` pins this
 //! differentially.
 //!
-//! Selection is runtime, not compile-time, and *adaptive by
-//! dimensionality*: hot loops hoist [`Kernel::for_dims`] once per loop,
+//! Selection is runtime, not compile-time, and a pure function of
+//! dimensionality: hot loops hoist [`Kernel::for_dims`] once per loop,
 //! which picks the wide generation at [`WIDE_MIN_DIMS`] dimensions and
 //! up — where lane blocks amortize — and the scalar generation below,
 //! where the early exit usually fires within the first couple of
 //! elements and branch-free full-row scans only waste work (measured:
 //! wide is ≥ 1.3× faster on the d = 6 block-filter microbench but loses
-//! up to 25% end-to-end on the d = 4 paper workloads). The
-//! `SKYCACHE_KERNEL` environment variable (`"scalar"` / `"wide"`) pins
-//! one generation for the whole process, overriding the heuristic;
-//! benchmarks pin in-process through [`Kernel::set_active`] and restore
-//! with [`Kernel::reset_to_env`].
-
-use std::sync::OnceLock;
-
-// Shim atomic: identical to `std::sync::atomic` in production,
-// schedulable under a `skycheck::Explorer` model run (see DESIGN.md §15).
-use skycheck::sync::{AtomicU8, Ordering};
+//! up to 25% end-to-end on the d = 4 paper workloads). Code that must
+//! run one particular generation (the differential tests, the `repro
+//! perf` microbench) names the [`Kernel`] value explicitly.
 
 use crate::dominance::{compare_raw, dominance_box_coords, dominates_raw, DomRelation};
 use crate::{Aabb, Constraints};
@@ -56,112 +48,24 @@ pub enum Kernel {
     Wide,
 }
 
-/// Dimensionality at and above which [`Kernel::for_dims`] auto-selects
+/// Dimensionality at and above which [`Kernel::for_dims`] selects
 /// the wide generation. Calibrated on the paper workloads: at d ≤ 4 the
 /// scalar early exit decides most row pairs within two comparisons and
 /// wins end-to-end; from d = 5 the lane-blocked scan amortizes its
 /// branch-free full-row cost.
 pub const WIDE_MIN_DIMS: usize = 5;
 
-/// 0 = not yet resolved, 1 = pinned scalar, 2 = pinned wide,
-/// 3 = auto (no `SKYCACHE_KERNEL` pin; select by dimensionality).
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
 impl Kernel {
-    /// Short identifier used in benchmark output and `SKYCACHE_KERNEL`.
-    pub fn label(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Wide => "wide",
-        }
-    }
-
-    /// Parses a generation name (case-insensitive `"scalar"` / `"wide"`).
-    pub fn from_name(name: &str) -> Option<Kernel> {
-        if name.eq_ignore_ascii_case("scalar") {
-            Some(Kernel::Scalar)
-        } else if name.eq_ignore_ascii_case("wide") {
-            Some(Kernel::Wide)
-        } else {
-            None
-        }
-    }
-
-    /// Reads and parses the `SKYCACHE_KERNEL` pin, exactly once per
-    /// process. The sole ambient-environment read in the library (the
-    /// designated `env-read-confinement` site in `skylint.toml`):
-    /// caching the first answer means a mid-run mutation of the
-    /// variable can never flip kernel generations between two loops of
-    /// the same process.
-    fn env_pin() -> Option<Kernel> {
-        static PIN: OnceLock<Option<Kernel>> = OnceLock::new();
-        *PIN.get_or_init(|| {
-            std::env::var("SKYCACHE_KERNEL").ok().and_then(|v| Kernel::from_name(&v))
-        })
-    }
-
-    /// The generation pinned by the `SKYCACHE_KERNEL` environment
-    /// variable, or `None` when unset or unrecognized (auto selection).
-    /// The variable is read once on first use and the answer is cached
-    /// for the life of the process.
-    pub fn from_env() -> Option<Kernel> {
-        Kernel::env_pin()
-    }
-
     /// The generation the hot loops should run for `dims`-dimensional
-    /// rows: the process-wide pin (environment or [`Kernel::set_active`])
-    /// when one is set, otherwise wide at [`WIDE_MIN_DIMS`] and up and
-    /// scalar below. The environment is resolved on first use; one
-    /// acquire atomic load afterwards (pairing with the release stores in
-    /// [`Kernel::set_active`] / [`Kernel::reset_to_env`], so a worker
-    /// spawned after a pin is guaranteed to observe it), and callers
+    /// rows: wide at [`WIDE_MIN_DIMS`] and up, scalar below. Callers
     /// hoist the result once per loop rather than per row.
     #[inline]
     pub fn for_dims(dims: usize) -> Kernel {
-        match ACTIVE.load(Ordering::Acquire) {
-            1 => Kernel::Scalar,
-            2 => Kernel::Wide,
-            3 => Kernel::auto(dims),
-            _ => {
-                Kernel::reset_to_env();
-                Kernel::for_dims(dims)
-            }
-        }
-    }
-
-    /// The dimensionality heuristic alone, ignoring any pin.
-    #[inline]
-    fn auto(dims: usize) -> Kernel {
         if dims >= WIDE_MIN_DIMS {
             Kernel::Wide
         } else {
             Kernel::Scalar
         }
-    }
-
-    /// Pins the process-wide generation (benchmark harnesses measure
-    /// both generations in one process; tests pin one). Undo with
-    /// [`Kernel::reset_to_env`].
-    pub fn set_active(kernel: Kernel) {
-        let v = match kernel {
-            Kernel::Scalar => 1,
-            Kernel::Wide => 2,
-        };
-        // Release: pairs with the acquire load in `for_dims` so threads
-        // spawned after the pin observe it.
-        ACTIVE.store(v, Ordering::Release);
-    }
-
-    /// Restores the selection state to the environment: pinned when
-    /// `SKYCACHE_KERNEL` names a generation, auto otherwise.
-    pub fn reset_to_env() {
-        let v = match Kernel::from_env() {
-            Some(Kernel::Scalar) => 1,
-            Some(Kernel::Wide) => 2,
-            None => 3,
-        };
-        // Release: pairs with the acquire load in `for_dims`.
-        ACTIVE.store(v, Ordering::Release);
     }
 
     /// Kernel-dispatched strict Pareto dominance `s ≺ t`.
@@ -316,33 +220,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_round_trip() {
-        for k in [Kernel::Scalar, Kernel::Wide] {
-            assert_eq!(Kernel::from_name(k.label()), Some(k));
-        }
-        assert_eq!(Kernel::from_name("WIDE"), Some(Kernel::Wide));
-        assert_eq!(Kernel::from_name("avx512"), None);
-    }
-
-    #[test]
-    fn pin_and_auto_selection() {
-        // A pin overrides the dimensionality heuristic everywhere...
-        Kernel::set_active(Kernel::Scalar);
-        assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS + 2), Kernel::Scalar);
-        Kernel::set_active(Kernel::Wide);
-        assert_eq!(Kernel::for_dims(1), Kernel::Wide);
-        // ...and resetting restores the env pin or the auto heuristic.
-        Kernel::reset_to_env();
-        match Kernel::from_env() {
-            Some(k) => {
-                assert_eq!(Kernel::for_dims(2), k);
-                assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS), k);
-            }
-            None => {
-                assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS - 1), Kernel::Scalar);
-                assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS), Kernel::Wide);
-            }
-        }
+    fn selection_is_by_dims() {
+        assert_eq!(Kernel::for_dims(1), Kernel::Scalar);
+        assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS - 1), Kernel::Scalar);
+        assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS), Kernel::Wide);
+        assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS + 3), Kernel::Wide);
     }
 
     /// Hand-picked rows covering every classification plus the equal /

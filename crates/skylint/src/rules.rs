@@ -294,12 +294,12 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              \n\
              Rationale: ambient environment reads are hidden inputs — they\n\
              fork behaviour between runs (determinism) and between the\n\
-             serving threads of one process (a worker re-reading\n\
-             SKYCACHE_KERNEL mid-flight could select a different dominance\n\
-             kernel than the one the cached plan was built with). The\n\
-             sanctioned pattern is one once-style pin function that reads\n\
-             the variable a single time and caches the decision; everything\n\
-             else takes configuration explicitly.\n\
+             serving threads of one process (a worker re-reading a\n\
+             variable mid-flight could take a different code path than the\n\
+             one the cached plan was built with). Library code takes\n\
+             configuration explicitly or derives it from its input; where a\n\
+             read is unavoidable, one once-style function reads the\n\
+             variable a single time and caches the decision.\n\
              \n\
              Escape hatch: `// skylint: allow(env-read-confinement) — <why>`.",
         ),
@@ -376,13 +376,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              path from the thread lane to the access.\n\
              \n\
              Rationale: Relaxed guarantees atomicity but no ordering — a\n\
-             worker spawned after `set_active` stored a kernel choice with\n\
-             Relaxed may still observe the old value and select a\n\
-             different dominance kernel than the one the cached plan was\n\
-             built with. Cross-thread publication must be\n\
-             Release (store) / Acquire (load) or SeqCst; Relaxed is only\n\
-             acceptable for single-thread or counter-only statics, which\n\
-             this rule's reachability test excludes.\n\
+             worker spawned after a mode flag was stored with Relaxed may\n\
+             still observe the old value and take a different code path\n\
+             than the one the cached plan was built with. Cross-thread\n\
+             publication must be Release (store) / Acquire (load) or\n\
+             SeqCst; Relaxed is only acceptable for single-thread or\n\
+             counter-only statics, which this rule's reachability test\n\
+             excludes.\n\
              \n\
              Escape hatch: `// skylint: allow(atomic-ordering) — <why\n\
              ordering is irrelevant here>`.",

@@ -208,7 +208,7 @@ fn sealed_guard_tree_is_clean() {
 fn relaxed_cross_thread_static_tree_is_flagged() {
     let stdout = assert_bad("atomic_ordering_bad", "atomic-ordering");
     // Both sides are findings, each carrying the thread witness path.
-    assert!(stdout.contains("`ACTIVE`"), "{stdout}");
+    assert!(stdout.contains("`MODE`"), "{stdout}");
     assert!(stdout.contains("worker_lane → current"), "{stdout}");
     assert!(stdout.contains("Ordering::Release"), "{stdout}");
     assert!(stdout.contains("Ordering::Acquire"), "{stdout}");
@@ -216,7 +216,7 @@ fn relaxed_cross_thread_static_tree_is_flagged() {
 
 #[test]
 fn release_acquire_static_tree_is_clean() {
-    // Release/Acquire on the pin; Relaxed only on the lane-local tally.
+    // Release/Acquire on the mode flag; Relaxed only on the lane-local tally.
     assert_clean("atomic_ordering_clean");
 }
 

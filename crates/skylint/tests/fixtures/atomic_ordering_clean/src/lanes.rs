@@ -3,7 +3,7 @@
 
 use crate::current;
 
-/// Reads the pin from the worker side of the spawn boundary.
+/// Reads the mode flag from the worker side of the spawn boundary.
 pub fn worker_lane() -> u8 {
     current()
 }

@@ -1,4 +1,4 @@
-//! Atomic-ordering clean fixture: the cross-thread pin publishes with
+//! Atomic-ordering clean fixture: the cross-thread mode flag publishes with
 //! `Release` and observes with `Acquire`; the only Relaxed accesses are
 //! on a counter never reachable from the thread lane. `skylint check`
 //! must exit 0.
@@ -7,20 +7,20 @@ pub mod lanes;
 
 use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
 
-/// The cross-thread pin: written on the control side, read in the lane.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
+/// The cross-thread mode flag: written on the control side, read in the lane.
+static MODE: AtomicU8 = AtomicU8::new(0);
 
 /// Debug tally confined to the control side — never crosses a spawn.
 static LOCAL_TICKS: AtomicU64 = AtomicU64::new(0);
 
-/// Publishes the pin for the next spawned worker.
-pub fn set_active(v: u8) {
-    ACTIVE.store(v, Ordering::Release);
+/// Publishes the mode for the next spawned worker.
+pub fn set_mode(v: u8) {
+    MODE.store(v, Ordering::Release);
 }
 
-/// Observes the pin on the worker path.
+/// Observes the mode on the worker path.
 pub fn current() -> u8 {
-    ACTIVE.load(Ordering::Acquire)
+    MODE.load(Ordering::Acquire)
 }
 
 /// Relaxed is fine here: the tally stays on one thread.

@@ -259,20 +259,16 @@ impl Table {
         let mut indexes: Vec<ColumnIndex> = Vec::with_capacity(dims);
         for d in 0..dims {
             let mut index = ColumnIndex::build(&[], d);
-            // Construction, not a kernel: the only inbound "hot" edge is the
-            // name collision AtomicU8::load ↔ persist::load (Kernel::for_dims
-            // never reaches table building).
             let mut pairs: Vec<(f64, RowId)> = points
                 .iter()
                 .enumerate()
                 .filter(|&(row, _)| live[row])
                 .map(|(row, p)| (p[d], row as RowId))
-                .collect(); // skylint: allow(hot-path-alloc) — name-collision edge, see above.
+                .collect();
             pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
             for (key, row) in pairs {
                 index.push_sorted(key, row);
             }
-            // skylint: allow(hot-path-alloc) — same name-collision edge.
             indexes.push(index);
         }
         Ok(Table { points, live, live_count, indexes, dims, config })

@@ -15,6 +15,7 @@ use skycache::core::{
 use skycache::datagen::{
     DimStats, Distribution, IndependentWorkload, InteractiveWorkload, SyntheticGen,
 };
+use skycache::geom::kernel::WIDE_MIN_DIMS;
 use skycache::geom::{Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
 
@@ -90,18 +91,22 @@ fn cbcs_exact_mpr_matches_baseline_interactive_all_distributions() {
     }
 }
 
+/// d = 4 runs the scalar kernel generation and d = 5 the wide one
+/// (`Kernel::for_dims`), so both generations are checked end to end.
 #[test]
 fn cbcs_ampr_matches_baseline_for_all_k() {
-    let table = table_for(Distribution::Independent, 4, 4_000, 13);
-    let queries = interactive_queries(&table, 50, 23);
-    for k in [0, 1, 3, 6, 10] {
-        let config = CbcsConfig { mpr: MprMode::Approximate { k }, ..Default::default() };
-        assert_matches_baseline(
-            &table,
-            &queries,
-            CbcsExecutor::new(&table, config),
-            &format!("aMPR({k})"),
-        );
+    for dims in [4, WIDE_MIN_DIMS] {
+        let table = table_for(Distribution::Independent, dims, 4_000, 13);
+        let queries = interactive_queries(&table, 50, 23);
+        for k in [0, 1, 3, 6, 10] {
+            let config = CbcsConfig { mpr: MprMode::Approximate { k }, ..Default::default() };
+            assert_matches_baseline(
+                &table,
+                &queries,
+                CbcsExecutor::new(&table, config),
+                &format!("aMPR({k})/d={dims}"),
+            );
+        }
     }
 }
 
